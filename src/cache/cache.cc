@@ -48,11 +48,7 @@ CacheArray::CacheArray(std::string name, const CacheArrayConfig &cfg)
     fatal_if(num_sets_ == 0, "%s: zero sets", name_.c_str());
     sets_pow2_ = isPowerOf2(num_sets_);
     const size_t n = static_cast<size_t>(num_sets_) * cfg_.assoc;
-    tag_.assign(n, kBlockInvalid);
-    valid_.assign(n, 0);
-    dirty_.assign(n, 0);
-    flag_.assign(n, 0);
-    cls_.assign(n, LineClass::Data);
+    line_.assign(n, 0);
     last_use_.assign(n, 0);
     lru_prev_.assign(n, kNil);
     lru_next_.assign(n, kNil);
@@ -77,15 +73,14 @@ CacheArray::setIndex(Addr addr) const
 std::uint32_t
 CacheArray::findIndex(Addr addr) const
 {
-    const BlockNum blk = blockNumber(addr);
+    // One masked compare per way: block number and valid bit must
+    // both match, so an invalid way never hits.
+    const std::uint64_t key = matchKey(blockNumber(addr));
     const std::uint32_t base =
         static_cast<std::uint32_t>(setIndex(addr)) * cfg_.assoc;
-    // Linear scan over the set's contiguous tag column; valid[] is
-    // checked second so invalid ways with stale tags don't match.
     for (unsigned w = 0; w < cfg_.assoc; ++w) {
-        const std::uint32_t idx = base + w;
-        if (tag_[idx] == blk && valid_[idx])
-            return idx;
+        if ((line_[base + w] & kMatchMask) == key)
+            return base + w;
     }
     return kNil;
 }
@@ -130,7 +125,7 @@ CacheArray::touch(std::uint32_t idx)
 {
     last_use_[idx] = ++use_clock_;
     // Splice to the MRU (tail) end of the line's class list.
-    const LineClass cls = cls_[idx];
+    const LineClass cls = lineClass(line_[idx]);
     if (lru_tracked_[static_cast<int>(cls)] &&
         class_lru_[static_cast<int>(cls)].tail != idx) {
         listRemove(cls, idx);
@@ -148,7 +143,7 @@ CacheArray::access(Addr addr, LineClass cls, bool is_write)
         ++stats_.hits[static_cast<int>(cls)];
         touch(idx);
         if (is_write)
-            dirty_[idx] = 1;
+            line_[idx] |= kDirty;
         return true;
     }
     ++stats_.misses[static_cast<int>(cls)];
@@ -167,142 +162,111 @@ CacheArray::residentClass(Addr addr) const
     const std::uint32_t idx = findIndex(addr);
     if (idx == kNil)
         return std::nullopt;
-    return cls_[idx];
+    return lineClass(line_[idx]);
 }
 
 std::uint32_t
 CacheArray::victimWay(unsigned set) const
 {
+    // Invalid lines hold stamp 0 and valid stamps are unique and >= 1,
+    // so the argmin (ties to the lowest way) is the first invalid way
+    // if there is one, else the LRU way.
     const std::uint32_t base = static_cast<std::uint32_t>(set) * cfg_.assoc;
     std::uint32_t victim = base;
-    for (unsigned w = 0; w < cfg_.assoc; ++w) {
-        const std::uint32_t idx = base + w;
-        if (!valid_[idx])
-            return idx;
-        if (last_use_[idx] < last_use_[victim])
-            victim = idx;
+    for (unsigned w = 1; w < cfg_.assoc; ++w) {
+        if (last_use_[base + w] < last_use_[victim])
+            victim = base + w;
     }
     return victim;
 }
 
 void
+CacheArray::dropLine(std::uint32_t idx)
+{
+    const LineClass cls = lineClass(line_[idx]);
+    --class_count_[static_cast<int>(cls)];
+    listRemove(cls, idx);
+    // NB: the flag bit deliberately survives invalidation; the
+    // hierarchy layer sets it on every insert it cares about. Pinned
+    // by the differential harness against legacy_cache.hh.
+    line_[idx] &= kFlag;
+    last_use_[idx] = 0;
+}
+
+void
 CacheArray::evictLine(std::uint32_t idx, std::optional<Victim> &victim_out)
 {
-    victim_out = Victim{blockBase(tag_[idx]), cls_[idx], dirty_[idx] != 0};
-    ++stats_.evictions[static_cast<int>(cls_[idx])];
-    if (dirty_[idx])
-        ++stats_.dirty_evictions[static_cast<int>(cls_[idx])];
-    --class_count_[static_cast<int>(cls_[idx])];
-    listRemove(cls_[idx], idx);
-    valid_[idx] = 0;
-    dirty_[idx] = 0;
-    // NB: flag is deliberately NOT cleared here; the hierarchy layer
-    // sets it on every insert it cares about. Pinned by the
-    // differential harness against legacy_cache.hh.
+    const std::uint64_t line = line_[idx];
+    const LineClass cls = lineClass(line);
+    const bool dirty = (line & kDirty) != 0;
+    victim_out = Victim{blockBase(BlockNum{line >> kBlkShift}), cls, dirty};
+    ++stats_.evictions[static_cast<int>(cls)];
+    if (dirty)
+        ++stats_.dirty_evictions[static_cast<int>(cls)];
+    dropLine(idx);
 }
 
 std::optional<Victim>
 CacheArray::insert(Addr addr, LineClass cls, bool dirty)
 {
+    const BlockNum blk = blockNumber(addr);
+    panic_if(blk.value() >> (64 - kBlkShift) != 0,
+             "%s: address 0x%llx beyond the packed-tag range",
+             name_.c_str(), static_cast<unsigned long long>(addr.value()));
     std::optional<Victim> victim;
 
-    // One fused scan over the set: resident match, first invalid way,
-    // and LRU way. Saves the second full scan (victimWay) on the miss
-    // path; the victim choice must match victimWay() exactly — first
-    // invalid way wins, else minimum last_use_ with ties to the lowest
-    // way.
-    const unsigned set = setIndex(addr);
-    const std::uint32_t base = static_cast<std::uint32_t>(set) * cfg_.assoc;
-    const BlockNum blk = blockNumber(addr);
-    std::uint32_t match = kNil;
-    std::uint32_t first_invalid = kNil;
-    std::uint32_t lru_way = base;
-    for (unsigned w = 0; w < cfg_.assoc; ++w) {
-        const std::uint32_t i = base + w;
-        if (!valid_[i]) {
-            if (first_invalid == kNil)
-                first_invalid = i;
-        } else if (tag_[i] == blk) {
-            match = i;
-            break;
-        } else if (last_use_[i] < last_use_[lru_way]) {
-            lru_way = i;
-        }
-    }
-
-    if (const std::uint32_t idx = match; idx != kNil) {
+    if (const std::uint32_t idx = findIndex(addr); idx != kNil) {
         // Already resident: refresh. A class change (shouldn't normally
         // happen) re-files the line under the new class — and must
         // still honor the new class's footprint cap.
-        if (cls_[idx] != cls) {
-            --class_count_[static_cast<int>(cls_[idx])];
-            listRemove(cls_[idx], idx);
-            cls_[idx] = cls;
+        const LineClass old = lineClass(line_[idx]);
+        if (old != cls) {
+            --class_count_[static_cast<int>(old)];
+            listRemove(old, idx);
+            line_[idx] = (line_[idx] & ~kClsMask) | clsBits(cls);
             ++class_count_[static_cast<int>(cls)];
             listAppend(cls, idx);
             const auto cap = cfg_.class_cap_bytes[static_cast<int>(cls)];
+            // Evict the class LRU (never the just-refiled line, which
+            // sits at the MRU end).
             if (cap != 0 &&
-                class_count_[static_cast<int>(cls)] > cap / kBlockBytes) {
-                // Evict the class LRU (never the just-refiled line,
-                // which sits at the MRU end).
-                std::optional<Victim> capped;
-                evictLine(class_lru_[static_cast<int>(cls)].head, capped);
-                touch(idx);
-                dirty_[idx] = static_cast<std::uint8_t>(dirty_[idx] | dirty);
-                return capped;
-            }
+                class_count_[static_cast<int>(cls)] > cap / kBlockBytes)
+                evictLine(class_lru_[static_cast<int>(cls)].head, victim);
         }
         touch(idx);
-        dirty_[idx] = static_cast<std::uint8_t>(dirty_[idx] | dirty);
-        return std::nullopt;
+        if (dirty)
+            line_[idx] |= kDirty;
+        return victim;
     }
 
     ++stats_.inserts[static_cast<int>(cls)];
 
     // Enforce the per-class footprint cap by evicting the class-global
     // LRU line before allocating.
-    const auto cap = cfg_.class_cap_bytes[static_cast<int>(cls)];
-    bool rescan = false;
-    if (cap != 0) {
-        const Count cap_blocks = cap / kBlockBytes;
-        if (class_count_[static_cast<int>(cls)] >= cap_blocks &&
-            cap_blocks > 0) {
-            const std::uint32_t lru = class_lru_[static_cast<int>(cls)].head;
-            if (lru != kNil) {
-                std::optional<Victim> capped;
-                evictLine(lru, capped);
-                // A cap eviction is a real eviction; report it if the
-                // new line lands in a different set (otherwise the way
-                // is reused below and victim stays as-is).
-                victim = capped;
-                // The cap eviction freed a way; if it is in this set the
-                // fused-scan victim is stale (a fresh scan would prefer
-                // the newly invalid way).
-                rescan = lru >= base && lru < base + cfg_.assoc;
-            }
-        }
+    const Count cap_blocks =
+        cfg_.class_cap_bytes[static_cast<int>(cls)] / kBlockBytes;
+    if (cap_blocks > 0 && class_count_[static_cast<int>(cls)] >= cap_blocks) {
+        const std::uint32_t lru = class_lru_[static_cast<int>(cls)].head;
+        if (lru != kNil)
+            evictLine(lru, victim);
     }
 
-    const std::uint32_t way =
-        rescan ? victimWay(set)
-               : (first_invalid != kNil ? first_invalid : lru_way);
-    std::optional<Victim> set_victim;
-    if (valid_[way])
-        evictLine(way, set_victim);
-    if (set_victim) {
+    // Picked after the cap eviction, so a way it freed in this set
+    // is preferred like any other invalid way.
+    const std::uint32_t way = victimWay(setIndex(addr));
+    if (line_[way] & kValid) {
         // If both a cap eviction and a set eviction happened, the cap
-        // eviction was already recorded in `victim`; the caller gets the
-        // set victim (the cap victim was same-class and is folded into
-        // stats). To avoid losing a dirty writeback, prefer reporting a
-        // dirty victim.
+        // eviction was already folded into stats; the caller gets one
+        // victim, and to avoid losing a dirty writeback it prefers a
+        // dirty one.
+        std::optional<Victim> set_victim;
+        evictLine(way, set_victim);
         if (!victim || (!victim->dirty && set_victim->dirty))
             victim = set_victim;
     }
 
-    valid_[way] = 1;
-    dirty_[way] = dirty ? 1 : 0;
-    tag_[way] = blockNumber(addr);
-    cls_[way] = cls;
+    line_[way] = matchKey(blk) | clsBits(cls) | (dirty ? kDirty : 0) |
+                 (line_[way] & kFlag);
     last_use_[way] = ++use_clock_;
     listAppend(cls, way);
     ++class_count_[static_cast<int>(cls)];
@@ -315,12 +279,9 @@ CacheArray::invalidate(Addr addr)
     const std::uint32_t idx = findIndex(addr);
     if (idx == kNil)
         return std::nullopt;
-    const bool was_dirty = dirty_[idx] != 0;
-    ++stats_.invalidations[static_cast<int>(cls_[idx])];
-    --class_count_[static_cast<int>(cls_[idx])];
-    listRemove(cls_[idx], idx);
-    valid_[idx] = 0;
-    dirty_[idx] = 0;
+    const bool was_dirty = (line_[idx] & kDirty) != 0;
+    ++stats_.invalidations[static_cast<int>(lineClass(line_[idx]))];
+    dropLine(idx);
     return was_dirty;
 }
 
@@ -329,7 +290,7 @@ CacheArray::markClean(Addr addr)
 {
     const std::uint32_t idx = findIndex(addr);
     if (idx != kNil)
-        dirty_[idx] = 0;
+        line_[idx] &= ~kDirty;
 }
 
 void
@@ -337,14 +298,14 @@ CacheArray::setFlag(Addr addr, bool value)
 {
     const std::uint32_t idx = findIndex(addr);
     if (idx != kNil)
-        flag_[idx] = value ? 1 : 0;
+        line_[idx] = value ? line_[idx] | kFlag : line_[idx] & ~kFlag;
 }
 
 bool
 CacheArray::getFlag(Addr addr) const
 {
     const std::uint32_t idx = findIndex(addr);
-    return idx != kNil && flag_[idx] != 0;
+    return idx != kNil && (line_[idx] & kFlag) != 0;
 }
 
 void
@@ -378,14 +339,10 @@ CacheArray::registerMetrics(obs::MetricsRegistry &reg,
 void
 CacheArray::flushAll()
 {
-    const std::uint32_t n = static_cast<std::uint32_t>(valid_.size());
+    const std::uint32_t n = static_cast<std::uint32_t>(line_.size());
     for (std::uint32_t idx = 0; idx < n; ++idx) {
-        if (valid_[idx]) {
-            --class_count_[static_cast<int>(cls_[idx])];
-            listRemove(cls_[idx], idx);
-            valid_[idx] = 0;
-            dirty_[idx] = 0;
-        }
+        if (line_[idx] & kValid)
+            dropLine(idx);
     }
 }
 

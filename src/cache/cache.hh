@@ -1,6 +1,6 @@
 /**
  * @file
- * Set-associative cache model — structure-of-arrays layout.
+ * Set-associative cache model — one packed word per line.
  *
  * This is a functional array with LRU replacement, write-back /
  * write-allocate semantics and per-"line class" accounting. Timing is
@@ -14,16 +14,16 @@
  * the cap evicts the least-recently-used *counter* block rather than
  * data.
  *
- * Layout: lines live in parallel columns (tag[], valid[], dirty[],
- * flag[], cls[], last_use[]) indexed set-major, so a set's ways are
- * contiguous in each column and lookup is a linear scan over a few
- * cache lines of tags instead of a stride over fat structs. The
- * per-class LRU that backs the footprint cap is an intrusive
- * index-linked list (lru_prev[]/lru_next[] columns + per-class
- * head/tail) — no per-line heap nodes, no iterators. The previous
- * node-based implementation is preserved verbatim in legacy_cache.hh
- * and pinned against this one by the differential harness in
- * tests/test_properties.cc.
+ * Layout: each line is one 64-bit word (block number, class, flag,
+ * dirty, valid) in a set-major column, so a set probe is one masked
+ * compare per way over a few contiguous words. A parallel last_use[]
+ * column holds the LRU stamp, 0 for an invalid line; victim choice is
+ * then a plain argmin over the set. The per-class LRU that backs the
+ * footprint cap is an intrusive index-linked list (lru_prev[]/
+ * lru_next[] columns + per-class head/tail) — no per-line heap nodes,
+ * no iterators. The previous node-based implementation is preserved
+ * verbatim in legacy_cache.hh and pinned against this one by the
+ * differential harness in tests/test_properties.cc.
  */
 
 #pragma once
@@ -86,7 +86,8 @@ struct CacheArrayStats
 
 /**
  * The cache array. Addresses passed in may be unaligned; they are
- * block-aligned internally.
+ * block-aligned internally. Block numbers must fit the packed word's
+ * 56 tag bits (addresses below 2^62); insert() panics otherwise.
  */
 class CacheArray
 {
@@ -170,11 +171,10 @@ class CacheArray
     void
     forEachValidLine(Fn fn) const
     {
-        const std::uint32_t n = static_cast<std::uint32_t>(valid_.size());
-        for (std::uint32_t idx = 0; idx < n; ++idx) {
-            if (valid_[idx])
-                fn(blockBase(tag_[idx]), cls_[idx], dirty_[idx] != 0,
-                   flag_[idx] != 0);
+        for (const std::uint64_t line : line_) {
+            if (line & kValid)
+                fn(blockBase(BlockNum{line >> kBlkShift}), lineClass(line),
+                   (line & kDirty) != 0, (line & kFlag) != 0);
         }
     }
 
@@ -184,12 +184,8 @@ class CacheArray
     void
     saveState(CheckpointWriter &w) const
     {
-        w.tag(0xcac4e001u);
-        w.vec(tag_);
-        w.vec(valid_);
-        w.vec(dirty_);
-        w.vec(flag_);
-        w.vec(cls_);
+        w.tag(kCheckpointTag);
+        w.vec(line_);
         w.vec(last_use_);
         w.vec(lru_prev_);
         w.vec(lru_next_);
@@ -206,12 +202,8 @@ class CacheArray
     void
     restoreState(CheckpointReader &r)
     {
-        r.expectTag(0xcac4e001u);
-        r.vec(tag_);
-        r.vec(valid_);
-        r.vec(dirty_);
-        r.vec(flag_);
-        r.vec(cls_);
+        r.expectTag(kCheckpointTag);
+        r.vec(line_);
         r.vec(last_use_);
         r.vec(lru_prev_);
         r.vec(lru_next_);
@@ -226,17 +218,52 @@ class CacheArray
     }
 
   private:
+    /// checkpoint layout version (bumped with the packed-word columns)
+    static constexpr std::uint32_t kCheckpointTag = 0xcac4e002u;
+
     /// null link / "no line" sentinel for the intrusive lists
     static constexpr std::uint32_t kNil = 0xffffffffu;
+
+    // Line word: bit 0 valid, bit 1 dirty, bit 2 flag, bits 3-4 class,
+    // bits 8-63 block number. An invalid line is 0 apart from a stale
+    // flag bit (see dropLine()).
+    static constexpr std::uint64_t kValid = 1;
+    static constexpr std::uint64_t kDirty = 2;
+    static constexpr std::uint64_t kFlag = 4;
+    static constexpr unsigned kClsShift = 3;
+    static constexpr std::uint64_t kClsMask = std::uint64_t{3} << kClsShift;
+    static constexpr unsigned kBlkShift = 8;
+    /// the bits a lookup compares: block number and valid
+    static constexpr std::uint64_t kMatchMask = ~std::uint64_t{0xfe};
+
+    static std::uint64_t
+    matchKey(BlockNum blk)
+    {
+        return blk.value() << kBlkShift | kValid;
+    }
+
+    static std::uint64_t
+    clsBits(LineClass cls)
+    {
+        return std::uint64_t{static_cast<std::uint8_t>(cls)} << kClsShift;
+    }
+
+    static LineClass
+    lineClass(std::uint64_t line)
+    {
+        return static_cast<LineClass>((line & kClsMask) >> kClsShift);
+    }
 
     unsigned setIndex(Addr addr) const;
     /** Index of a resident block's line, or kNil. */
     std::uint32_t findIndex(Addr addr) const;
-    /** Pick the LRU way in a set (prefers invalid ways). */
+    /** Pick the victim way in a set: first invalid, else LRU. */
     std::uint32_t victimWay(unsigned set) const;
     void touch(std::uint32_t idx);
     void listAppend(LineClass cls, std::uint32_t idx);
     void listRemove(LineClass cls, std::uint32_t idx);
+    /** Invalidate a valid line: class count, class list, word, stamp. */
+    void dropLine(std::uint32_t idx);
     void evictLine(std::uint32_t idx, std::optional<Victim> &victim_out);
 
     std::string name_;
@@ -246,12 +273,8 @@ class CacheArray
 
     // Parallel columns, indexed set * assoc + way (set-major). A set's
     // ways are contiguous in every column.
-    std::vector<BlockNum> tag_;
-    std::vector<std::uint8_t> valid_;
-    std::vector<std::uint8_t> dirty_;
-    std::vector<std::uint8_t> flag_;            ///< see setFlag()
-    std::vector<LineClass> cls_;
-    std::vector<std::uint64_t> last_use_;       ///< global LRU stamp
+    std::vector<std::uint64_t> line_;           ///< packed line words
+    std::vector<std::uint64_t> last_use_;       ///< LRU stamp, 0 = invalid
     // Intrusive per-class LRU links (meaningful for valid lines only).
     std::vector<std::uint32_t> lru_prev_;
     std::vector<std::uint32_t> lru_next_;

@@ -7,15 +7,22 @@
  * fetches, counter-usefulness state). As std::unordered_map they cost
  * one node allocation per insert and a pointer chase per probe —
  * measurable in the e2e profile. This map stores {key, value} pairs
- * inline in one power-of-two slot array with linear probing and
- * tombstones: inserts allocate only on growth, probes touch one cache
- * line in the common case.
+ * inline in one power-of-two slot array with linear probing: inserts
+ * allocate only on growth, probes touch one cache line in the common
+ * case.
+ *
+ * Erase uses backward-shift deletion: the entries after the hole on
+ * its probe run are pulled back over it, so every run stays gap-free
+ * and no tombstones exist. Occupancy therefore equals size(), and a
+ * table that churns at constant size (insert + erase on the miss path)
+ * never rehashes and never allocates.
  *
  * Deliberately minimal: no iterators (tables on the hot path must not
  * depend on hash order — see the unordered-iter lint rule), no
  * iterator-based erase; forEach() exists solely so checkpoints can
  * drain a table, and its visitors must sort before emitting. Pointers
- * returned by find()/operator[] are invalidated by the next insert.
+ * returned by find()/operator[] are invalidated by the next insert or
+ * erase.
  */
 
 #pragma once
@@ -40,16 +47,18 @@ class FlatAddrMap
 
     std::size_t size() const { return size_; }
     bool empty() const { return size_ == 0; }
+    /** Slots in the array (0 before the first insert). */
+    std::size_t capacity() const { return capacity_; }
 
     /** Pointer to the mapped value, or nullptr. Invalidated by the
-     *  next insert. */
+     *  next insert or erase. */
     V *
     find(Addr key)
     {
-        const std::size_t idx = probe(key);
-        if (idx == kNpos || slots_[idx].state != State::Full)
+        if (capacity_ == 0)
             return nullptr;
-        return &slots_[idx].value;
+        Slot &s = slots_[probe(key)];
+        return s.full ? &s.value : nullptr;
     }
 
     const V *
@@ -65,14 +74,9 @@ class FlatAddrMap
     operator[](Addr key)
     {
         reserveOne();
-        const std::size_t idx = probeForInsert(key);
-        Slot &s = slots_[idx];
-        if (s.state != State::Full) {
-            s.key = key;
-            s.value = V{};
-            s.state = State::Full;
-            ++size_;
-        }
+        Slot &s = slots_[probe(key)];
+        if (!s.full)
+            fill(s, key, V{});
         return s.value;
     }
 
@@ -82,14 +86,10 @@ class FlatAddrMap
     emplace(Addr key, V value)
     {
         reserveOne();
-        const std::size_t idx = probeForInsert(key);
-        Slot &s = slots_[idx];
-        if (s.state == State::Full)
+        Slot &s = slots_[probe(key)];
+        if (s.full)
             return false;
-        s.key = key;
-        s.value = value;
-        s.state = State::Full;
-        ++size_;
+        fill(s, key, value);
         return true;
     }
 
@@ -98,9 +98,8 @@ class FlatAddrMap
     clear()
     {
         for (std::size_t i = 0; i < capacity_; ++i)
-            slots_[i].state = State::Empty;
+            slots_[i].full = false;
         size_ = 0;
-        tombstones_ = 0;
     }
 
     /**
@@ -113,7 +112,7 @@ class FlatAddrMap
     forEach(Fn fn) const
     {
         for (std::size_t i = 0; i < capacity_; ++i) {
-            if (slots_[i].state == State::Full)
+            if (slots_[i].full)
                 fn(slots_[i].key, slots_[i].value);
         }
     }
@@ -122,26 +121,36 @@ class FlatAddrMap
     bool
     erase(Addr key)
     {
-        const std::size_t idx = probe(key);
-        if (idx == kNpos || slots_[idx].state != State::Full)
+        if (capacity_ == 0)
             return false;
-        slots_[idx].state = State::Tombstone;
+        std::size_t hole = probe(key);
+        if (!slots_[hole].full)
+            return false;
+        // Backward shift: walk the run after the hole and move back
+        // every entry whose home slot lies at or before the hole
+        // (cyclically), so a probe from that home still reaches it.
+        const std::size_t mask = capacity_ - 1;
+        for (std::size_t i = (hole + 1) & mask; slots_[i].full;
+             i = (i + 1) & mask) {
+            const std::size_t home = hash(slots_[i].key) & mask;
+            if (((i - home) & mask) >= ((i - hole) & mask)) {
+                slots_[hole] = slots_[i];
+                hole = i;
+            }
+        }
+        slots_[hole].full = false;
         --size_;
-        ++tombstones_;
         return true;
     }
 
   private:
-    enum class State : std::uint8_t { Empty = 0, Full, Tombstone };
-
     struct Slot
     {
         Addr key{};
         V value{};
-        State state = State::Empty;
+        bool full = false;
     };
 
-    static constexpr std::size_t kNpos = ~std::size_t{0};
     static constexpr std::size_t kMinCapacity = 16;
 
     static std::size_t
@@ -154,62 +163,35 @@ class FlatAddrMap
             (x ^ (x >> 29)) * 0x9e3779b97f4a7c15ull >> 17);
     }
 
-    /** Slot holding @p key, or kNpos / first-empty when absent. */
+    /** Slot holding @p key, else the empty slot ending its probe run.
+     *  Needs capacity_ > 0; the load cap guarantees an empty slot. */
     std::size_t
     probe(Addr key) const
     {
-        if (capacity_ == 0)
-            return kNpos;
         const std::size_t mask = capacity_ - 1;
         std::size_t idx = hash(key) & mask;
-        while (true) {
-            const Slot &s = slots_[idx];
-            if (s.state == State::Empty)
-                return idx;
-            if (s.state == State::Full && s.key == key)
-                return idx;
+        while (slots_[idx].full && slots_[idx].key != key)
             idx = (idx + 1) & mask;
-        }
+        return idx;
     }
 
-    /** Slot to write @p key into: its current slot if present, else
-     *  the first tombstone/empty on its probe chain. */
-    std::size_t
-    probeForInsert(Addr key)
+    void
+    fill(Slot &s, Addr key, V value)
     {
-        const std::size_t mask = capacity_ - 1;
-        std::size_t idx = hash(key) & mask;
-        std::size_t first_free = kNpos;
-        while (true) {
-            const Slot &s = slots_[idx];
-            if (s.state == State::Full && s.key == key)
-                return idx;
-            if (s.state == State::Tombstone) {
-                if (first_free == kNpos)
-                    first_free = idx;
-            } else if (s.state == State::Empty) {
-                if (first_free == kNpos)
-                    return idx;
-                // Reusing a tombstone keeps chains from growing.
-                --tombstones_;
-                return first_free;
-            }
-            idx = (idx + 1) & mask;
-        }
+        s.key = key;
+        s.value = value;
+        s.full = true;
+        ++size_;
     }
 
     void
     reserveOne()
     {
-        // Keep live + tombstoned occupancy under 3/4 so probe chains
-        // stay short; rehash drops the tombstones.
-        if (capacity_ == 0 ||
-            (size_ + tombstones_ + 1) * 4 > capacity_ * 3) {
-            rehash(capacity_ == 0 ? kMinCapacity
-                                  : (size_ + 1) * 4 > capacity_ * 3
-                                        ? capacity_ * 2
-                                        : capacity_);
-        }
+        // Keep occupancy under 3/4 so probe runs stay short.
+        if (capacity_ == 0)
+            rehash(kMinCapacity);
+        else if ((size_ + 1) * 4 > capacity_ * 3)
+            rehash(capacity_ * 2);
     }
 
     void
@@ -217,42 +199,20 @@ class FlatAddrMap
     {
         auto old = std::move(slots_);
         const std::size_t old_capacity = capacity_;
-        // Tables that churn (insert + erase on the miss path) rehash at
-        // constant capacity just to drop tombstones; ping-ponging with
-        // the retired array makes that steady-state case allocation-
-        // free at the cost of one spare array per table.
-        if (new_capacity == spare_capacity_) {
-            slots_ = std::move(spare_);
-            spare_capacity_ = 0;
-            for (std::size_t i = 0; i < new_capacity; ++i)
-                slots_[i].state = State::Empty;
-        } else {
-            slots_ = std::make_unique<Slot[]>(new_capacity);
-        }
+        slots_ = std::make_unique<Slot[]>(new_capacity);
         capacity_ = new_capacity;
-        tombstones_ = 0;
         size_ = 0;
         // Insert directly (not via emplace): the capacity was chosen
         // above, and a recursive rehash mid-copy must be impossible.
         for (std::size_t i = 0; i < old_capacity; ++i) {
-            if (old[i].state != State::Full)
-                continue;
-            Slot &s = slots_[probeForInsert(old[i].key)];
-            s.key = old[i].key;
-            s.value = old[i].value;
-            s.state = State::Full;
-            ++size_;
+            if (old[i].full)
+                fill(slots_[probe(old[i].key)], old[i].key, old[i].value);
         }
-        spare_ = std::move(old);
-        spare_capacity_ = old_capacity;
     }
 
     std::unique_ptr<Slot[]> slots_;
-    std::unique_ptr<Slot[]> spare_;   ///< retired array kept for reuse
     std::size_t capacity_ = 0;
-    std::size_t spare_capacity_ = 0;
     std::size_t size_ = 0;
-    std::size_t tombstones_ = 0;
 };
 
 } // namespace emcc

@@ -1,6 +1,7 @@
 #include "secmem/counter_design.hh"
 
 #include <algorithm>
+#include <vector>
 
 #include "common/log.hh"
 
@@ -96,15 +97,6 @@ MonolithicCounters::restoreState(CheckpointReader &r)
 
 // ---------------------------------------------------------------- SC-64
 
-Sc64Counters::BlockState &
-Sc64Counters::state(std::uint64_t ctr_block)
-{
-    auto &st = blocks_[ctr_block];
-    if (st.minors.empty())
-        st.minors.assign(blocksPerCounterBlock(), 0);
-    return st;
-}
-
 const Sc64Counters::BlockState *
 Sc64Counters::stateIfPresent(std::uint64_t ctr_block) const
 {
@@ -116,8 +108,7 @@ CounterWriteResult
 Sc64Counters::bumpCounter(Addr data_addr)
 {
     ++writes_;
-    const std::uint64_t cb = counterBlockIndex(data_addr);
-    auto &st = state(cb);
+    BlockState &st = blocks_[counterBlockIndex(data_addr)];
     const unsigned slot = static_cast<unsigned>(
         (data_addr / kBlockBytes) % blocksPerCounterBlock());
 
@@ -126,8 +117,7 @@ Sc64Counters::bumpCounter(Addr data_addr)
         // re-encrypt every covered block under the new major.
         ++overflows_;
         ++st.major;
-        for (auto &m : st.minors)
-            m = 0;
+        st.minors.fill(0);
         st.minors[slot] = 1;
         return {true, blocksPerCounterBlock()};
     }
@@ -139,7 +129,7 @@ std::uint64_t
 Sc64Counters::counterValue(Addr data_addr) const
 {
     const auto *st = stateIfPresent(counterBlockIndex(data_addr));
-    if (!st || st->minors.empty())
+    if (!st)
         return 0;
     const unsigned slot = static_cast<unsigned>(
         (data_addr / kBlockBytes) % 64);
@@ -149,7 +139,7 @@ Sc64Counters::counterValue(Addr data_addr) const
 void
 Sc64Counters::saveState(CheckpointWriter &w) const
 {
-    w.tag(0xc0de0002u);
+    w.tag(kCheckpointTag);
     saveBase(w);
     std::vector<std::uint64_t> keys;
     keys.reserve(blocks_.size());
@@ -162,23 +152,22 @@ Sc64Counters::saveState(CheckpointWriter &w) const
         const BlockState &st = blocks_.at(cb);
         w.u64(cb);
         w.u64(st.major);
-        w.vec(st.minors);
+        w.pod(st.minors);
     }
 }
 
 void
 Sc64Counters::restoreState(CheckpointReader &r)
 {
-    r.expectTag(0xc0de0002u);
+    r.expectTag(kCheckpointTag);
     restoreBase(r);
     blocks_.clear();
     const std::uint64_t n = r.u64();
     for (std::uint64_t i = 0; i < n; ++i) {
         const std::uint64_t cb = r.u64();
-        BlockState st;
+        BlockState &st = blocks_[cb];
         st.major = r.u64();
-        r.vec(st.minors);
-        blocks_.emplace(cb, std::move(st));
+        st.minors = r.pod<decltype(st.minors)>();
     }
 }
 
@@ -207,15 +196,6 @@ MorphableCounters::encodable(unsigned nonzero, std::uint32_t max_minor)
     return false;
 }
 
-MorphableCounters::BlockState &
-MorphableCounters::state(std::uint64_t ctr_block)
-{
-    auto &st = blocks_[ctr_block];
-    if (st.minors.empty())
-        st.minors.assign(blocksPerCounterBlock(), 0);
-    return st;
-}
-
 const MorphableCounters::BlockState *
 MorphableCounters::stateIfPresent(std::uint64_t ctr_block) const
 {
@@ -227,26 +207,25 @@ CounterWriteResult
 MorphableCounters::bumpCounter(Addr data_addr)
 {
     ++writes_;
-    const std::uint64_t cb = counterBlockIndex(data_addr);
-    auto &st = state(cb);
+    BlockState &st = blocks_[counterBlockIndex(data_addr)];
     const unsigned slot = static_cast<unsigned>(
         (data_addr / kBlockBytes) % blocksPerCounterBlock());
 
-    const std::uint32_t new_val = st.minors[slot] + 1;
+    const std::uint32_t new_val = st.minors[slot] + 1u;
     unsigned new_nonzero = st.nonzero + (st.minors[slot] == 0 ? 1 : 0);
     const std::uint32_t new_max = std::max(st.max_minor, new_val);
 
     if (!encodable(new_nonzero, new_max)) {
         ++overflows_;
         ++st.major;
-        for (auto &m : st.minors)
-            m = 0;
+        st.minors.fill(0);
         st.nonzero = 1;
         st.max_minor = 1;
         st.minors[slot] = 1;
         return {true, blocksPerCounterBlock()};
     }
-    st.minors[slot] = new_val;
+    // encodable() caps every stored minor at 16 bits.
+    st.minors[slot] = static_cast<std::uint16_t>(new_val);
     st.nonzero = new_nonzero;
     st.max_minor = new_max;
     return {};
@@ -256,7 +235,7 @@ std::uint64_t
 MorphableCounters::counterValue(Addr data_addr) const
 {
     const auto *st = stateIfPresent(counterBlockIndex(data_addr));
-    if (!st || st->minors.empty())
+    if (!st)
         return 0;
     const unsigned slot = static_cast<unsigned>(
         (data_addr / kBlockBytes) % 128);
@@ -266,7 +245,7 @@ MorphableCounters::counterValue(Addr data_addr) const
 void
 MorphableCounters::saveState(CheckpointWriter &w) const
 {
-    w.tag(0xc0de0003u);
+    w.tag(kCheckpointTag);
     saveBase(w);
     std::vector<std::uint64_t> keys;
     keys.reserve(blocks_.size());
@@ -279,7 +258,7 @@ MorphableCounters::saveState(CheckpointWriter &w) const
         const BlockState &st = blocks_.at(cb);
         w.u64(cb);
         w.u64(st.major);
-        w.vec(st.minors);
+        w.pod(st.minors);
         w.u32(st.nonzero);
         w.u32(st.max_minor);
     }
@@ -288,18 +267,17 @@ MorphableCounters::saveState(CheckpointWriter &w) const
 void
 MorphableCounters::restoreState(CheckpointReader &r)
 {
-    r.expectTag(0xc0de0003u);
+    r.expectTag(kCheckpointTag);
     restoreBase(r);
     blocks_.clear();
     const std::uint64_t n = r.u64();
     for (std::uint64_t i = 0; i < n; ++i) {
         const std::uint64_t cb = r.u64();
-        BlockState st;
+        BlockState &st = blocks_[cb];
         st.major = r.u64();
-        r.vec(st.minors);
+        st.minors = r.pod<decltype(st.minors)>();
         st.nonzero = r.u32();
         st.max_minor = r.u32();
-        blocks_.emplace(cb, std::move(st));
     }
 }
 

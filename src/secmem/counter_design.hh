@@ -22,11 +22,11 @@
 
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "common/types.hh"
 #include "sim/checkpoint.hh"
@@ -168,13 +168,16 @@ class Sc64Counters : public CounterDesign
     void restoreState(CheckpointReader &r) override;
 
   private:
+    /// checkpoint layout version (bumped with the inline minors)
+    static constexpr std::uint32_t kCheckpointTag = 0xc0de0012u;
+
+    /** One counter block, minors stored inline in the map node. */
     struct BlockState
     {
         std::uint64_t major = 0;
-        std::vector<std::uint16_t> minors;  ///< lazily sized to 64
+        std::array<std::uint8_t, 64> minors{};
     };
 
-    BlockState &state(std::uint64_t ctr_block);
     const BlockState *stateIfPresent(std::uint64_t ctr_block) const;
 
     static constexpr unsigned kMinorMax = 127;   ///< 7-bit minors
@@ -206,15 +209,19 @@ class MorphableCounters : public CounterDesign
     void restoreState(CheckpointReader &r) override;
 
   private:
+    /// checkpoint layout version (bumped with the inline minors)
+    static constexpr std::uint32_t kCheckpointTag = 0xc0de0013u;
+
+    /** One counter block, minors stored inline in the map node. The
+     *  widest encodable minor is 16 bits (see encodable()). */
     struct BlockState
     {
         std::uint64_t major = 0;
-        std::vector<std::uint32_t> minors;  ///< lazily sized to 128
+        std::array<std::uint16_t, 128> minors{};
         unsigned nonzero = 0;
         std::uint32_t max_minor = 0;
     };
 
-    BlockState &state(std::uint64_t ctr_block);
     const BlockState *stateIfPresent(std::uint64_t ctr_block) const;
 
     std::unordered_map<std::uint64_t, BlockState> blocks_;

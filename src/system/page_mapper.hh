@@ -54,9 +54,15 @@ class PageMapper
         // stale. It exists purely to keep the hash lookup off the
         // per-access fast path (sequential scans hit the same 2 MB
         // page for thousands of accesses in a row).
+        //
+        // The per-core address spaces sit 2^40 bytes apart, so page k
+        // of every core has the same low bits; folding higher bits into
+        // the slot keeps round-robin cores from evicting each other.
         const std::uint64_t vpage = vaddr.value() >> page_shift_;
-        const std::size_t slot = vpage & (kTlbEntries - 1);
+        const std::size_t slot =
+            (vpage ^ vpage >> 12 ^ vpage >> 24) & (kTlbEntries - 1);
         if (tlb_tag_[slot] != vpage) {
+            ++tlb_misses_;
             auto it = table_.find(vpage);
             if (it == table_.end()) {
                 const std::uint64_t frame = allocFrame();
@@ -71,6 +77,9 @@ class PageMapper
 
     std::size_t mappedPages() const { return table_.size(); }
     std::uint64_t pageBytes() const { return page_bytes_; }
+    /** Translations that missed the TLB and went to the page table.
+     *  A host-side diagnostic, deliberately not a registered metric. */
+    Count tlbMisses() const { return tlb_misses_; }
 
     /** Serialize mappings (sorted by virtual page) + the RNG stream.
      *  The used-frame set is derivable and rebuilt on restore; the TLB
@@ -144,6 +153,7 @@ class PageMapper
     std::unordered_set<std::uint64_t> used_;
     std::uint64_t tlb_tag_[kTlbEntries];
     std::uint64_t tlb_frame_[kTlbEntries];
+    Count tlb_misses_ = 0;
 };
 
 } // namespace emcc

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
+#include <vector>
 
 #include "cache/cache.hh"
 #include "cache/legacy_cache.hh"
@@ -231,6 +233,35 @@ TEST(CacheArray, StatsAggregates)
     EXPECT_EQ(c.stats().missesAll(), 1u);
     c.resetStats();
     EXPECT_EQ(c.stats().hitsAll(), 0u);
+}
+
+TEST(CacheArray, CheckpointRoundTripAndOldTagPanics)
+{
+    auto c = smallCache();
+    c.insert(Addr{0x40}, LineClass::Counter, true);
+    c.setFlag(Addr{0x40}, true);
+    CheckpointWriter w;
+    c.saveState(w);
+    const std::vector<std::uint8_t> image = w.take();
+
+    auto d = smallCache();
+    CheckpointReader r(image);
+    d.restoreState(r);
+    EXPECT_TRUE(r.done());
+    EXPECT_EQ(d.residentClass(Addr{0x40}), LineClass::Counter);
+    EXPECT_TRUE(d.getFlag(Addr{0x40}));
+    EXPECT_EQ(d.invalidate(Addr{0x40}), std::optional<bool>(true));
+
+    // An image from before the packed-word layout carries the old tag.
+    std::vector<std::uint8_t> old_image = image;
+    const std::uint32_t old_tag = 0xcac4e001u;
+    std::memcpy(old_image.data(), &old_tag, sizeof(old_tag));
+    EXPECT_DEATH(
+        {
+            CheckpointReader old(old_image);
+            smallCache().restoreState(old);
+        },
+        "tag mismatch");
 }
 
 // ---------------------------------------------------------------------

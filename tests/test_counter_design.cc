@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
+#include <vector>
 
 #include "secmem/counter_design.hh"
 
@@ -199,6 +201,79 @@ TEST(Morphable, ValuesNeverRepeatAcrossOverflow)
         const auto v = d->counterValue(Addr{0x0});
         EXPECT_TRUE(seen.insert(v).second) << "value repeated: " << v;
     }
+}
+
+/** Save @p d, restore into a fresh design of the same kind, and check
+ *  that every counter in the first @p blocks data blocks survived. */
+void
+expectRoundTrip(const CounterDesign &d, std::uint64_t blocks)
+{
+    CheckpointWriter w;
+    d.saveState(w);
+    const std::vector<std::uint8_t> image = w.take();
+    auto copy = CounterDesign::create(d.kind());
+    CheckpointReader r(image);
+    copy->restoreState(r);
+    EXPECT_TRUE(r.done());
+    EXPECT_EQ(copy->writes(), d.writes());
+    EXPECT_EQ(copy->overflows(), d.overflows());
+    for (std::uint64_t b = 0; b < blocks; ++b) {
+        const Addr a{b * kBlockBytes};
+        ASSERT_EQ(copy->counterValue(a), d.counterValue(a)) << "block " << b;
+    }
+}
+
+/** The image of @p d with its leading structure tag replaced. */
+std::vector<std::uint8_t>
+withTag(const CounterDesign &d, std::uint32_t tag)
+{
+    CheckpointWriter w;
+    d.saveState(w);
+    std::vector<std::uint8_t> image = w.take();
+    std::memcpy(image.data(), &tag, sizeof(tag));
+    return image;
+}
+
+TEST(Sc64, CheckpointRoundTripAndOldTagPanics)
+{
+    Sc64Counters d;
+    for (int i = 0; i < 300; ++i)
+        d.bumpCounter(Addr{static_cast<std::uint64_t>(i % 70) * kBlockBytes});
+    for (int i = 0; i < 200; ++i)
+        d.bumpCounter(Addr{5 * kBlockBytes});   // overflows once
+    ASSERT_GT(d.overflows(), 0u);
+    expectRoundTrip(d, 140);
+
+    // Images from before the inline-minor layout carry the old tag.
+    const auto old_image = withTag(d, 0xc0de0002u);
+    EXPECT_DEATH(
+        {
+            CheckpointReader r(old_image);
+            Sc64Counters().restoreState(r);
+        },
+        "tag mismatch");
+}
+
+TEST(Morphable, CheckpointRoundTripAndOldTagPanics)
+{
+    MorphableCounters d;
+    // A sparse write-hot block keeps a minor above 8 bits, exercising
+    // the full 16-bit inline width.
+    for (int i = 0; i < 5000; ++i)
+        d.bumpCounter(Addr{3 * kBlockBytes});
+    for (int i = 0; i < 400; ++i)
+        d.bumpCounter(Addr{static_cast<std::uint64_t>(128 + i % 200) *
+                           kBlockBytes});
+    EXPECT_EQ(d.counterValue(Addr{3 * kBlockBytes}), 5000u);
+    expectRoundTrip(d, 400);
+
+    const auto old_image = withTag(d, 0xc0de0003u);
+    EXPECT_DEATH(
+        {
+            CheckpointReader r(old_image);
+            MorphableCounters().restoreState(r);
+        },
+        "tag mismatch");
 }
 
 } // namespace

@@ -82,5 +82,23 @@ TEST(PageMapper, RandomizedFramesSpread)
     EXPECT_FALSE(identity);
 }
 
+TEST(PageMapper, RoundRobinSpacesDoNotThrashTlb)
+{
+    // SecureSystem places core c's address space at c << 40, so page k
+    // of every core shares its low page-number bits. Round-robin
+    // accesses (the fast-forward order) must still hit the TLB after
+    // the compulsory miss per page.
+    PageMapper m(2_MiB, 8_GiB, 9);
+    constexpr std::uint64_t kSpaces = 4, kPages = 64;
+    for (int round = 0; round < 20; ++round) {
+        for (std::uint64_t p = 0; p < kPages; ++p) {
+            for (std::uint64_t s = 0; s < kSpaces; ++s)
+                m.translate(Addr{(s << 40) + p * 2_MiB + 64});
+        }
+    }
+    EXPECT_EQ(m.mappedPages(), kSpaces * kPages);
+    EXPECT_LE(m.tlbMisses(), kSpaces * kPages);
+}
+
 } // namespace
 } // namespace emcc
