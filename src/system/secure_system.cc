@@ -517,11 +517,8 @@ SecureSystem::emccCounterPath(unsigned core, Addr pa, Tick t_miss,
     if (llc_.access(ctr, LineClass::Counter, false)) {
         if (fault_)
             fault_->onCounterHit(ctr, curTick());
-        auto &state = l2_ctr_state_[core];
-        if (!state.contains(ctr)) {
+        if (l2_ctr_state_[core].emplace(ctr, false))
             ++stats_.l2_ctr_inserts;
-            state.emplace(ctr, false);
-        }
         const std::int64_t delta = nocDeltaTicks();
         const Tick arrival = addDelta(
             t_lookup + cfg_.llc_ctr_access + cfg_.emcc_ctr_payload_extra,
@@ -548,25 +545,28 @@ SecureSystem::emccCounterPath(unsigned core, Addr pa, Tick t_miss,
                       cfg_.noc_llc_mc;
     mcFetchCounter(pa, t_mc, /*count_buckets=*/true,
                    fin([this, core, ctr](Tick verified) {
-        // Verified counter returns to the LLC and the requesting L2.
-        // It already served this miss (the MC used it to decrypt the
-        // data), so it starts life in L2 marked used.
-        auto &state = l2_ctr_state_[core];
-        if (!state.contains(ctr)) {
-            ++stats_.l2_ctr_inserts;
-            state.emplace(ctr, true);
-        }
-        insertLlc(ctr, LineClass::Counter, false, verified);
-        const Tick at_l2 = verified + cfg_.resp_mc_to_l2;
-        insertL2Counter(core, ctr, at_l2);
-        sim().post(at_l2, [this, core, ctr] {
-            auto &inf = l2_ctr_inflight_[core];
-            const Tick *arrival = inf.find(ctr);
-            if (arrival && *arrival == kTickInvalid)
-                inf.erase(ctr);
-        }, /*priority=*/0, EventTag::Secmem);
+        returnMcCounter(core, ctr, verified);
     }));
     return out;
+}
+
+void
+SecureSystem::returnMcCounter(unsigned core, Addr ctr, Tick verified)
+{
+    // The verified counter returns to the LLC and the requesting L2.
+    // It already served this miss (the MC used it to decrypt the
+    // data), so it starts life in L2 marked used.
+    if (l2_ctr_state_[core].emplace(ctr, true))
+        ++stats_.l2_ctr_inserts;
+    insertLlc(ctr, LineClass::Counter, false, verified);
+    const Tick at_l2 = verified + cfg_.resp_mc_to_l2;
+    insertL2Counter(core, ctr, at_l2);
+    runAt(at_l2, [this, core, ctr] {
+        auto &inf = l2_ctr_inflight_[core];
+        const Tick *arrival = inf.find(ctr);
+        if (arrival && *arrival == kTickInvalid)
+            inf.erase(ctr);
+    }, EventTag::Secmem);
 }
 
 void
@@ -600,13 +600,8 @@ SecureSystem::llcDataAccess(unsigned core, Addr pa, Tick t_miss,
                     rec->crypto_end = std::max(
                         slot, ctr.ctr_ready_at_l2 + cfg_.aes_latency);
                     rec->hide_until = fill;
-                    const Tick mac_b = std::max(
-                        ctr.ctr_ready_at_l2,
-                        rec->crypto_end - cfg_.aes_latency);
-                    rec->stamp(obs::MissSegment::Aes,
-                               ctr.ctr_ready_at_l2, mac_b);
-                    rec->stamp(obs::MissSegment::MacVerify, mac_b,
-                               rec->crypto_end);
+                    stampAesMac(*rec, ctr.ctr_ready_at_l2,
+                                rec->crypto_end);
                 }
                 sim().post(done, [fill_cb, done] { fill_cb(done); });
             } else {
@@ -633,12 +628,7 @@ SecureSystem::llcDataAccess(unsigned core, Addr pa, Tick t_miss,
                         rec->hide_until = fill;
                         rec->stamp(obs::MissSegment::CtrFetch, t_mc,
                                    ctr_tick);
-                        const Tick mac_b = std::max(
-                            aes_start, aes_done - cfg_.aes_latency);
-                        rec->stamp(obs::MissSegment::Aes, aes_start,
-                                   mac_b);
-                        rec->stamp(obs::MissSegment::MacVerify, mac_b,
-                                   aes_done);
+                        stampAesMac(*rec, aes_start, aes_done);
                     }
                     sim().post(done,
                                    [fill_cb, done] { fill_cb(done); });
@@ -784,13 +774,16 @@ SecureSystem::mcDataRead(unsigned core, Addr pa, Tick t_mc,
     JoinState &join = join_pool_.at(slot);
 
     // ---- crypto path
-    switch (cfg_.scheme) {
-      case Scheme::NonSecure:
+    const bool emcc = cfg_.scheme == Scheme::Emcc;
+    if (cfg_.scheme == Scheme::NonSecure) {
         join.crypto_needed = false;
-        break;
-      case Scheme::McOnly:
-      case Scheme::LlcBaseline:
-        mcFetchCounter(pa, t_mc, /*count_buckets=*/true,
+    } else if (!emcc || ctr.mc_decrypts) {
+        // The MC fetches the counter and decrypts. An EMCC miss merges
+        // with the counter fetch its L2 already sent (or hits), so only
+        // the baseline schemes bill the location buckets.
+        if (emcc)
+            ++stats_.decrypted_at_mc;
+        mcFetchCounter(pa, t_mc, /*count_buckets=*/!emcc,
                        fin([this, slot, rec, t_mc](Tick ctr_tick) {
             JoinState &j = join_pool_.at(slot);
             const Tick start = ctr_tick + design_->decodeLatency() +
@@ -804,76 +797,36 @@ SecureSystem::mcDataRead(unsigned core, Addr pa, Tick t_mc,
                 rec->crypto_begin = t_mc;
                 rec->crypto_end = j.crypto_done;
                 rec->stamp(obs::MissSegment::CtrFetch, t_mc, ctr_tick);
-                const Tick mac_b = std::max(
-                    start, j.crypto_done - cfg_.aes_latency);
-                rec->stamp(obs::MissSegment::Aes, start, mac_b);
-                rec->stamp(obs::MissSegment::MacVerify, mac_b,
-                           j.crypto_done);
+                stampAesMac(*rec, start, j.crypto_done);
             }
             joinTryFinish(slot);
         }));
-        break;
-      case Scheme::Emcc:
-        if (ctr.mc_decrypts) {
-            ++stats_.decrypted_at_mc;
-            // Merge with the counter fetch already in flight (or a hit).
-            mcFetchCounter(pa, t_mc, /*count_buckets=*/false,
-                           fin([this, slot, rec, t_mc](Tick ctr_tick) {
-                JoinState &j = join_pool_.at(slot);
-                const Tick start = ctr_tick + design_->decodeLatency() +
-                                   aesStall();
-                j.crypto_done = mc_aes_.submit(start, 5);
-                if (trace_crypto_) {
-                    tracer_->span(obs::TraceCat::Crypto, mc_aes_track_,
-                                  "aes_decrypt", start, j.crypto_done);
-                }
-                if (rec) {
-                    rec->crypto_begin = t_mc;
-                    rec->crypto_end = j.crypto_done;
-                    rec->stamp(obs::MissSegment::CtrFetch, t_mc,
-                               ctr_tick);
-                    const Tick mac_b = std::max(
-                        start, j.crypto_done - cfg_.aes_latency);
-                    rec->stamp(obs::MissSegment::Aes, start, mac_b);
-                    rec->stamp(obs::MissSegment::MacVerify, mac_b,
-                               j.crypto_done);
-                }
-                joinTryFinish(slot);
-            }));
-        } else {
-            ++stats_.decrypted_at_l2;
-            join.crypto_at_l2 = true;
-            panic_if(ctr.ctr_ready_at_l2 == kTickInvalid,
-                     "EMCC L2 crypto without a counter");
-            // The pool's *throughput* is consumed in submission order;
-            // the *start* of this block's AES is additionally gated on
-            // the decoded counter and (optionally) the LLC-hit-latency
-            // waste guard. Modeling them separately keeps one delayed
-            // start from idling the whole pool.
-            const Tick slot_done = l2_aes_[core]->submit(t_miss, 5);
-            Tick gate = ctr.ctr_ready_at_l2 + aesStall();
-            if (cfg_.llc_hit_wait)
-                gate = std::max(gate, t_miss + cfg_.llc_latency);
-            join.crypto_done = std::max(slot_done,
-                                        gate + cfg_.aes_latency);
-            if (trace_crypto_) {
-                tracer_->span(obs::TraceCat::Crypto,
-                              l2_aes_tracks_[core], "aes_decrypt",
-                              t_miss, join.crypto_done);
-            }
-            if (rec) {
-                rec->crypto_begin = ctr.ctr_start != kTickInvalid
-                                        ? ctr.ctr_start
-                                        : t_miss;
-                rec->crypto_end = join.crypto_done;
-                const Tick mac_b = std::max(
-                    gate, join.crypto_done - cfg_.aes_latency);
-                rec->stamp(obs::MissSegment::Aes, gate, mac_b);
-                rec->stamp(obs::MissSegment::MacVerify, mac_b,
-                           join.crypto_done);
-            }
+    } else {
+        ++stats_.decrypted_at_l2;
+        join.crypto_at_l2 = true;
+        panic_if(ctr.ctr_ready_at_l2 == kTickInvalid,
+                 "EMCC L2 crypto without a counter");
+        // The pool's *throughput* is consumed in submission order; the
+        // *start* of this block's AES is additionally gated on the
+        // decoded counter and (optionally) the LLC-hit-latency waste
+        // guard. Modeling them separately keeps one delayed start from
+        // idling the whole pool.
+        const Tick slot_done = l2_aes_[core]->submit(t_miss, 5);
+        Tick gate = ctr.ctr_ready_at_l2 + aesStall();
+        if (cfg_.llc_hit_wait)
+            gate = std::max(gate, t_miss + cfg_.llc_latency);
+        join.crypto_done = std::max(slot_done, gate + cfg_.aes_latency);
+        if (trace_crypto_) {
+            tracer_->span(obs::TraceCat::Crypto, l2_aes_tracks_[core],
+                          "aes_decrypt", t_miss, join.crypto_done);
         }
-        break;
+        if (rec) {
+            rec->crypto_begin = ctr.ctr_start != kTickInvalid
+                                    ? ctr.ctr_start
+                                    : t_miss;
+            rec->crypto_end = join.crypto_done;
+            stampAesMac(*rec, gate, join.crypto_done);
+        }
     }
 
     // ---- data path (always asynchronous: dramRequest posts an event,
@@ -888,6 +841,57 @@ SecureSystem::mcDataRead(unsigned core, Addr pa, Tick t_mc,
 }
 
 void
+SecureSystem::stampAesMac(obs::MissRecord &rec, Tick start, Tick done) const
+{
+    const Tick mac_b = std::max(start, done - cfg_.aes_latency);
+    rec.stamp(obs::MissSegment::Aes, start, mac_b);
+    rec.stamp(obs::MissSegment::MacVerify, mac_b, done);
+}
+
+SecureSystem::CtrSource
+SecureSystem::mcCounterLookup(Addr ctr, bool count_buckets)
+{
+    if (mc_cache_.access(ctr, LineClass::Counter, false)) {
+        if (count_buckets)
+            ++stats_.mc_ctr_hits;
+        if (fault_)
+            fault_->onCounterHit(ctr, curTick());
+        return CtrSource::McCache;
+    }
+    if (cfg_.scheme == Scheme::LlcBaseline)
+        ++stats_.baseline_ctr_accesses_to_llc;
+    if (cfg_.countersInLlc() &&
+        llc_.access(ctr, LineClass::Counter, false)) {
+        if (count_buckets)
+            ++stats_.llc_ctr_hits;
+        if (fault_)
+            fault_->onCounterHit(ctr, curTick());
+        return CtrSource::Llc;
+    }
+    if (count_buckets)
+        ++stats_.llc_ctr_misses;
+    return CtrSource::Dram;
+}
+
+SecureSystem::WalkPlan
+SecureSystem::planTreeWalk(Addr pa)
+{
+    WalkPlan plan;
+    for (unsigned lvl = 1; lvl < meta_.numLevels(); ++lvl) {
+        const Addr node = meta_.treeNodeAddr(lvl, pa);
+        if (mc_cache_.access(node, LineClass::TreeNode, false))
+            break;
+        ++plan.levels;
+        if (cfg_.countersInLlc() &&
+            llc_.access(node, LineClass::TreeNode, false)) {
+            plan.top_from_llc = true;
+            break;
+        }
+    }
+    return plan;
+}
+
+void
 SecureSystem::mcFetchCounter(Addr pa, Tick t, bool count_buckets,
                              FinishCb cb)
 {
@@ -898,36 +902,19 @@ SecureSystem::mcFetchCounter(Addr pa, Tick t, bool count_buckets,
         resmon_->service(res_mc_ctr_port_, t,
                          t + cfg_.mc_ctr_cache_latency);
     }
-    if (mc_cache_.access(ctr, LineClass::Counter, false)) {
-        if (count_buckets)
-            ++stats_.mc_ctr_hits;
-        if (fault_)
-            fault_->onCounterHit(ctr, curTick());
-        const Tick ready = t + cfg_.mc_ctr_cache_latency;
-        cb(ready);
+    const Tick t1 = t + cfg_.mc_ctr_cache_latency;
+    const CtrSource src = mcCounterLookup(ctr, count_buckets);
+    if (src == CtrSource::McCache) {
+        cb(t1);
         return;
     }
-    const Tick t1 = t + cfg_.mc_ctr_cache_latency;
-
-    if (cfg_.countersInLlc() &&
-        llc_.access(ctr, LineClass::Counter, false)) {
-        if (count_buckets)
-            ++stats_.llc_ctr_hits;
-        if (fault_)
-            fault_->onCounterHit(ctr, curTick());
-        if (cfg_.scheme == Scheme::LlcBaseline)
-            ++stats_.baseline_ctr_accesses_to_llc;
+    if (src == CtrSource::Llc) {
         const Tick ready = addDelta(t1 + cfg_.llc_ctr_access,
                                     nocDeltaTicks());
         insertMcCache(ctr, LineClass::Counter, false, ready);
         cb(ready);
         return;
     }
-
-    if (count_buckets)
-        ++stats_.llc_ctr_misses;
-    if (cfg_.scheme == Scheme::LlcBaseline && cfg_.countersInLlc())
-        ++stats_.baseline_ctr_accesses_to_llc;
 
     // Miss determination round-trips the LLC for schemes that cache
     // counters there; MC-only goes straight to DRAM.
@@ -938,40 +925,14 @@ SecureSystem::mcFetchCounter(Addr pa, Tick t, bool count_buckets,
         return;
     panic_if(outcome == MshrOutcome::Full, "MC counter MSHR overflow");
 
-    // Determine which tree levels must also be fetched (functional
-    // walk); fetches issue in parallel, verification serializes on AES.
-    // The fan-in record is slab-pooled and the scratch node list is a
-    // reused member, so a full walk costs zero heap allocations in
-    // steady state. (Safe to share the scratch: nothing below re-enters
-    // mcFetchCounter synchronously — every continuation is event-posted.)
+    // Tree-level fetches issue in parallel; verification serializes on
+    // AES. The fan-in record is slab-pooled, so a full walk costs zero
+    // heap allocations in steady state.
+    const WalkPlan plan = planTreeWalk(pa);
     const std::uint32_t wslot = walk_pool_.alloc();
-    {
-        WalkState &walk = walk_pool_.at(wslot);
-        walk.outstanding = 1;   // the counter block itself
-        walk.max_arrival = Tick{};
-        walk.fetched_levels = 0;
-        walk.ctr = ctr;
-        walk.t2 = t2;
-    }
-
-    auto &node_fetches = walk_scratch_;   // (addr, from_llc)
-    node_fetches.clear();
-    for (unsigned lvl = 1; lvl < meta_.numLevels(); ++lvl) {
-        const Addr node = meta_.treeNodeAddr(lvl, pa);
-        if (mc_cache_.access(node, LineClass::TreeNode, false))
-            break;
-        if (cfg_.countersInLlc() &&
-            llc_.access(node, LineClass::TreeNode, false)) {
-            node_fetches.emplace_back(node, true);
-            break;
-        }
-        node_fetches.emplace_back(node, false);
-    }
-    {
-        WalkState &walk = walk_pool_.at(wslot);
-        walk.outstanding += static_cast<unsigned>(node_fetches.size());
-        walk.fetched_levels = static_cast<unsigned>(node_fetches.size());
-    }
+    // outstanding: every planned level plus the counter block itself
+    walk_pool_.at(wslot) =
+        WalkState{1 + plan.levels, Tick{}, plan.levels, ctr, t2};
 
     dramRequest(ctr, MemClass::Counter, false, t2,
                 fin([this, ctr, wslot](Tick when) {
@@ -979,8 +940,9 @@ SecureSystem::mcFetchCounter(Addr pa, Tick t, bool count_buckets,
             fault_->onCounterFetched(ctr, when);
         walkArrive(wslot, when);
     }));
-    for (const auto &[node, from_llc] : node_fetches) {
-        if (from_llc) {
+    for (unsigned lvl = 1; lvl <= plan.levels; ++lvl) {
+        const Addr node = meta_.treeNodeAddr(lvl, pa);
+        if (lvl == plan.levels && plan.top_from_llc) {
             const Tick ready = addDelta(t2 + cfg_.llc_ctr_access,
                                         nocDeltaTicks());
             insertMcCache(node, LineClass::TreeNode, false, ready);
@@ -1000,6 +962,35 @@ SecureSystem::mcFetchCounter(Addr pa, Tick t, bool count_buckets,
             }));
         }
     }
+}
+
+void
+SecureSystem::ffwdFetchCounter(Addr pa, bool count_buckets)
+{
+    const Addr ctr = meta_.counterBlockAddr(pa);
+    const Tick now = curTick();
+    const CtrSource src = mcCounterLookup(ctr, count_buckets);
+    if (src == CtrSource::Llc)
+        insertMcCache(ctr, LineClass::Counter, false, now);
+    if (src != CtrSource::Dram)
+        return;
+    // The fills mcFetchCounter's walk makes as its blocks arrive, in
+    // walk order rather than DRAM order. The plan is a value, so the
+    // writeback cascades an LLC fill can start may walk again.
+    const WalkPlan plan = planTreeWalk(pa);
+    dram_.functionalTouch(ctr, now);
+    for (unsigned lvl = 1; lvl <= plan.levels; ++lvl) {
+        const Addr node = meta_.treeNodeAddr(lvl, pa);
+        const bool from_dram = lvl < plan.levels || !plan.top_from_llc;
+        if (from_dram)
+            dram_.functionalTouch(node, now);
+        insertMcCache(node, LineClass::TreeNode, false, now);
+        if (from_dram && cfg_.countersInLlc())
+            insertLlc(node, LineClass::TreeNode, false, now);
+    }
+    insertMcCache(ctr, LineClass::Counter, false, now);
+    if (cfg_.countersInLlc())
+        insertLlc(ctr, LineClass::Counter, false, now);
 }
 
 void
@@ -1036,15 +1027,18 @@ SecureSystem::mcHandleWriteback(Addr pa, Tick t)
         dramRequest(pa, MemClass::Data, /*is_write=*/true, t, nullptr);
         return;
     }
-    mcFetchCounter(pa, t, /*count_buckets=*/false,
-                   fin([this, pa](Tick ctr_tick) {
+    // Fast-forward models neither the overflow re-encryption traffic
+    // nor AES timing; the counter bump and invalidations are the same.
+    auto bump = [this, pa](Tick ctr_tick) {
         const Addr ctr = meta_.counterBlockAddr(pa);
         const auto wr = design_->bumpCounter(pa);
         if (wr.overflow) {
             ++stats_.overflows;
-            const std::uint64_t coverage = design_->coverageBytes();
-            scheduleOverflowJob(Addr{(pa / coverage) * coverage},
-                                wr.reencrypt_blocks, ctr_tick);
+            if (!ffwd_) {
+                const std::uint64_t coverage = design_->coverageBytes();
+                scheduleOverflowJob(Addr{(pa / coverage) * coverage},
+                                    wr.reencrypt_blocks, ctr_tick);
+            }
         }
         // The updated counter lives dirty in the MC cache; stale copies
         // elsewhere are invalidated (Fig 23 counts the L2 ones).
@@ -1059,11 +1053,18 @@ SecureSystem::mcHandleWriteback(Addr pa, Tick t)
             llc_.invalidate(ctr);
 
         // Encrypt + MAC update: 8 AES ops (4 encrypt + 4 MAC words).
-        const Tick aes_done = mc_aes_.submit(
-            ctr_tick + design_->decodeLatency(), 8);
+        const Tick aes_done =
+            ffwd_ ? ctr_tick
+                  : mc_aes_.submit(ctr_tick + design_->decodeLatency(), 8);
         dramRequest(pa, MemClass::Data, /*is_write=*/true, aes_done,
                     nullptr);
-    }));
+    };
+    if (ffwd_) {
+        ffwdFetchCounter(pa, /*count_buckets=*/false);
+        bump(t);
+    } else {
+        mcFetchCounter(pa, t, /*count_buckets=*/false, fin(bump));
+    }
 }
 
 void
@@ -1124,6 +1125,13 @@ void
 SecureSystem::dramRequest(Addr addr, MemClass cls, bool is_write, Tick t,
                           FinishCb done, obs::MissRecord *attrib)
 {
+    if (ffwd_) {
+        // Fast-forward has no DRAM queues, and the shared transitions
+        // only write through here: a write just opens its row.
+        panic_if(!is_write, "DRAM read queued during fast-forward");
+        dram_.functionalTouch(addr, curTick());
+        return;
+    }
     // done is a 16-byte pooled handle (the closure itself stays put in
     // the FinishPool slab), so this — the hottest scheduling site in
     // the tree — copies only plain values into the event entry.
@@ -1313,31 +1321,28 @@ SecureSystem::tryEnqueueDram(Addr addr, MemClass cls, bool is_write,
 void
 SecureSystem::insertL2Data(unsigned core, Addr pa, bool dirty, Tick t)
 {
-    sim().post(std::max(t, curTick()), [this, core, pa, dirty] {
+    runAt(t, [this, core, pa, dirty] {
         auto victim = l2_[core].insert(pa, LineClass::Data, dirty);
         if (victim)
             handleL2Victim(core, *victim, curTick());
-    }, /*priority=*/0, EventTag::Cache);
+    });
 }
 
 void
 SecureSystem::insertL2Counter(unsigned core, Addr ctr_addr, Tick t)
 {
-    sim().post(std::max(t, curTick()), [this, core, ctr_addr] {
+    runAt(t, [this, core, ctr_addr] {
         auto &inflight = l2_ctr_inflight_[core];
         inflight.erase(ctr_addr);
         // The useless-tracking entry normally exists already (created
         // at fetch initiation); create a fallback one if not.
-        auto &state = l2_ctr_state_[core];
-        if (!state.contains(ctr_addr)) {
+        if (l2_ctr_state_[core].emplace(ctr_addr, false))
             ++stats_.l2_ctr_inserts;
-            state.emplace(ctr_addr, false);
-        }
         auto victim = l2_[core].insert(ctr_addr, LineClass::Counter,
                                        false);
         if (victim)
             handleL2Victim(core, *victim, curTick());
-    }, /*priority=*/0, EventTag::Cache);
+    });
 }
 
 void
@@ -1370,13 +1375,13 @@ void
 SecureSystem::insertLlc(Addr pa, LineClass cls, bool dirty, Tick t,
                         bool unverified)
 {
-    sim().post(std::max(t, curTick()),
-                   [this, pa, cls, dirty, unverified] {
+    runAt(t, [this, pa, cls, dirty, unverified] {
         auto victim = llc_.insert(pa, cls, dirty);
         // The flag reflects the newest copy: set for unverified DRAM
-        // fills (inclusive mode), cleared when a verified/plaintext
-        // copy arrives (e.g. an L2 victim).
-        llc_.setFlag(pa, unverified);
+        // fills, cleared when a verified/plaintext copy arrives (e.g.
+        // an L2 victim). Only the inclusive hierarchy ever sets it.
+        if (cfg_.inclusive_llc)
+            llc_.setFlag(pa, unverified);
         if (!victim)
             return;
         // Inclusive mode: evicting a data line from the LLC must also
@@ -1403,19 +1408,19 @@ SecureSystem::insertLlc(Addr pa, LineClass cls, bool dirty, Tick t,
             dramRequest(victim->addr, MemClass::Counter, true,
                         curTick() + cfg_.noc_llc_mc, nullptr);
         }
-    }, /*priority=*/0, EventTag::Cache);
+    });
 }
 
 void
 SecureSystem::insertMcCache(Addr addr, LineClass cls, bool dirty, Tick t)
 {
-    sim().post(std::max(t, curTick()), [this, addr, cls, dirty] {
+    runAt(t, [this, addr, cls, dirty] {
         auto victim = mc_cache_.insert(addr, cls, dirty);
         if (victim && victim->dirty) {
             dramRequest(victim->addr, MemClass::Counter, true, curTick(),
                         nullptr);
         }
-    }, /*priority=*/0, EventTag::Cache);
+    });
 }
 
 StatSet
@@ -1606,6 +1611,8 @@ SecureSystem::drainAndCheckLeaks()
 void
 SecureSystem::runPhase(Count budget)
 {
+    // A fast-forward left unfinished by an exception leaves fills inline.
+    panic_if(ffwd_, "detailed phase with fast-forward still active");
     // Polls the Simulator's cooperative stop flag between events: a
     // campaign deadline or a SIGINT cancels the run at the next event
     // boundary instead of wedging the host thread.
@@ -1683,9 +1690,13 @@ void
 SecureSystem::fastForward(Count refs_per_core)
 {
     panic_if(cores_running_ != 0, "fastForward during a detailed phase");
+    // Fills apply inline from here on; a queued one would land late.
+    panic_if(sim().events().pending() != 0,
+             "fastForward with %zu events pending",
+             sim().events().pending());
     panic_if(fault_ != nullptr,
              "functional fast-forward cannot model fault campaigns");
-    const Tick now = curTick();
+    ffwd_ = true;
     // Round-robin interleave across cores, like concurrent execution
     // (same discipline as the functional characterizer).
     std::vector<std::size_t> pos(cfg_.cores);
@@ -1699,262 +1710,126 @@ SecureSystem::fastForward(Count refs_per_core)
                 p %= trace.size();
             const MemRef &ref = trace[p];
             pos[c] = p + 1;
-            ffwdHandleRef(c, translate(c, ref.vaddr), ref.is_write, now);
+            ffwdHandleRef(c, translate(c, ref.vaddr), ref.is_write);
         }
     }
     for (unsigned c = 0; c < cfg_.cores; ++c)
         cores_[c]->setTracePos(pos[c]);
+    ffwd_ = false;
 }
 
 void
-SecureSystem::ffwdHandleRef(unsigned core, Addr pa, bool is_write,
-                            Tick now)
+SecureSystem::ffwdHandleRef(unsigned core, Addr pa, bool is_write)
 {
+    // The decisions of read()/write(), l2Access, emccCounterPath,
+    // llcDataAccess and mcDataRead, in that order; every fill is the
+    // detailed one, applied inline. Not modeled: MSHR merging, AES,
+    // NoC and DRAM timing, and adaptive offload.
+    const Tick now = curTick();
     if (is_write)
         ++stats_.data_writes;
     else
         ++stats_.data_reads;
 
     if (l1_[core].access(pa, LineClass::Data, is_write)) {
-        ++stats_.l1_hits;
+        if (!is_write)
+            ++stats_.l1_hits;
         return;
     }
     if (cfg_.dynamic_emcc_off)
         sampleIntensity(core);
-    if (l2_[core].access(pa, LineClass::Data, false)) {
+    if (l2_[core].access(pa, LineClass::Data, is_write)) {
         ++stats_.l2_data_hits;
-        ffwdInsertL1(core, pa, is_write, now);
+        insertL1(core, pa, is_write);
         return;
     }
     ++stats_.l2_data_misses;
 
-    // ---- EMCC counter path: the speculative fetch resolves
-    // instantly, so the counter is resident in L2 before the data
-    // outcome is known — the same end state the timed path reaches.
+    // ---- EMCC counter path. ctr_at_l2: the L2 holds the counter, or
+    // fetches it from the LLC, and decrypts. A counter that misses the
+    // LLC is fetched, used and returned by the MC (ctr_via_mc).
+    const bool emcc = cfg_.scheme == Scheme::Emcc;
     const Addr ctr = meta_.counterBlockAddr(pa);
-    const bool emcc_active =
-        cfg_.scheme == Scheme::Emcc &&
-        !(cfg_.dynamic_emcc_off && !intensity_[core].emcc_on);
-    bool emcc_ctr_in_l2 = false;
-    if (emcc_active) {
-        if (l2_[core].access(ctr, LineClass::Counter, false)) {
+    bool ctr_at_l2 = false;
+    bool ctr_from_llc = false;
+    bool ctr_via_mc = false;
+    if (emcc && !(cfg_.dynamic_emcc_off && !intensity_[core].emcc_on)) {
+        ctr_at_l2 = l2_[core].access(ctr, LineClass::Counter, false);
+        if (ctr_at_l2) {
             ++stats_.emcc_l2_ctr_hits;
-            emcc_ctr_in_l2 = true;
         } else {
             ++stats_.emcc_l2_ctr_misses;
             ++stats_.emcc_ctr_accesses_to_llc;
-            if (!llc_.access(ctr, LineClass::Counter, false)) {
-                ffwdMcCounterAccess(pa, /*count_buckets=*/true, now,
-                                    /*llc_known_miss=*/true);
-                ffwdInsertLlc(ctr, LineClass::Counter, false, now);
-            }
-            ffwdInsertCounterIntoL2(core, ctr, now);
-            emcc_ctr_in_l2 = true;
+            ctr_from_llc = llc_.access(ctr, LineClass::Counter, false);
+            ctr_at_l2 = ctr_from_llc;
+            ctr_via_mc = !ctr_from_llc;
+            if (ctr_via_mc)
+                ffwdFetchCounter(pa, /*count_buckets=*/true);
+            else if (l2_ctr_state_[core].emplace(ctr, false))
+                ++stats_.l2_ctr_inserts;
         }
     }
+    // The fetched counter reaches the L2 after the data of an LLC hit
+    // and before the data of an LLC miss, as their latencies order
+    // them in detailed mode.
+    auto fill_counter = [&] {
+        if (ctr_from_llc)
+            insertL2Counter(core, ctr, now);
+        else if (ctr_via_mc)
+            returnMcCounter(core, ctr, now);
+    };
 
-    // ---- data in LLC
+    // ---- data in the LLC
     if (llc_.access(pa, LineClass::Data, false)) {
         ++stats_.llc_data_hits;
-        if (cfg_.inclusive_llc && llc_.getFlag(pa)) {
-            // Inclusive-mode unverified copy: verified on promotion,
-            // either at the L2 (counter resident) or by the MC.
+        // An unverified copy waits for its decryption, so there the
+        // counter lands first.
+        const bool unverified = cfg_.inclusive_llc && llc_.getFlag(pa);
+        if (unverified) {
             ++stats_.llc_unverified_hits;
             llc_.setFlag(pa, false);
-            if (emcc_ctr_in_l2) {
+            if (ctr_at_l2) {
                 ++stats_.decrypted_at_l2;
             } else {
                 ++stats_.decrypted_at_mc;
-                ffwdMcCounterAccess(pa, /*count_buckets=*/false, now);
+                if (!ctr_via_mc)
+                    ffwdFetchCounter(pa, /*count_buckets=*/false);
             }
+            fill_counter();
         }
-        ffwdInsertL2Data(core, pa, now);
-        ffwdInsertL1(core, pa, is_write, now);
+        insertL2Data(core, pa, false, now);
+        insertL1(core, pa, is_write);
+        if (!unverified)
+            fill_counter();
         return;
     }
     ++stats_.llc_data_misses;
     if (cfg_.dynamic_emcc_off)
         ++intensity_[core].dram_fills;
 
-    if (cfg_.scheme == Scheme::Emcc) {
-        if (emcc_ctr_in_l2) {
-            // The counter in L2 is genuinely used for this LLC miss.
-            if (bool *used = l2_ctr_state_[core].find(ctr))
-                *used = true;
-            ++stats_.decrypted_at_l2;
-        } else {
-            // Dynamic EMCC-off phase: the MC fetches + verifies.
-            ++stats_.decrypted_at_mc;
-            ffwdMcCounterAccess(pa, /*count_buckets=*/false, now);
-        }
+    // ---- MC data read
+    if (ctr_at_l2) {
+        // The counter in L2 is genuinely used for this LLC miss.
+        if (bool *used = l2_ctr_state_[core].find(ctr))
+            *used = true;
+        ++stats_.decrypted_at_l2;
     } else if (cfg_.scheme != Scheme::NonSecure) {
-        ffwdMcCounterAccess(pa, /*count_buckets=*/true, now);
+        // The MC decrypts; a counter the L2 sent it is fetched already.
+        if (emcc)
+            ++stats_.decrypted_at_mc;
+        if (!ctr_via_mc)
+            ffwdFetchCounter(pa, /*count_buckets=*/!emcc);
     }
-
+    fill_counter();
     dram_.functionalTouch(pa, now);
+    // Inclusive mode: the response allocates in the LLC on its way up,
+    // unverified when the L2 does the crypto.
     if (cfg_.inclusive_llc) {
-        // The response allocates in the LLC on its way up, unverified
-        // when the L2 does the crypto (mirrors joinTryFinish).
-        ffwdInsertLlc(pa, LineClass::Data, false, now,
-                      /*unverified=*/emcc_ctr_in_l2);
+        insertLlc(pa, LineClass::Data, false, now,
+                  /*unverified=*/ctr_at_l2);
     }
-    ffwdInsertL2Data(core, pa, now);
-    ffwdInsertL1(core, pa, is_write, now);
-}
-
-void
-SecureSystem::ffwdMcCounterAccess(Addr pa, bool count_buckets, Tick now,
-                                  bool llc_known_miss)
-{
-    const Addr ctr = meta_.counterBlockAddr(pa);
-    if (mc_cache_.access(ctr, LineClass::Counter, false)) {
-        if (count_buckets)
-            ++stats_.mc_ctr_hits;
-        return;
-    }
-    // The EMCC path has already probed the LLC for this counter block
-    // and missed; re-probing would only repeat the miss (and bill it to
-    // the array's stats twice).
-    const bool in_llc = !llc_known_miss && cfg_.countersInLlc() &&
-                        llc_.access(ctr, LineClass::Counter, false);
-    if (in_llc) {
-        if (count_buckets)
-            ++stats_.llc_ctr_hits;
-        if (cfg_.scheme == Scheme::LlcBaseline)
-            ++stats_.baseline_ctr_accesses_to_llc;
-    } else {
-        if (count_buckets)
-            ++stats_.llc_ctr_misses;
-        if (cfg_.scheme == Scheme::LlcBaseline && cfg_.countersInLlc())
-            ++stats_.baseline_ctr_accesses_to_llc;
-        // Fetch from DRAM and verify via the tree: walk up until a
-        // cached (already verified) ancestor, as mcFetchCounter does.
-        dram_.functionalTouch(ctr, now);
-        for (unsigned lvl = 1; lvl < meta_.numLevels(); ++lvl) {
-            const Addr node = meta_.treeNodeAddr(lvl, pa);
-            if (mc_cache_.access(node, LineClass::TreeNode, false))
-                break;
-            if (cfg_.countersInLlc() &&
-                llc_.access(node, LineClass::TreeNode, false)) {
-                ffwdInsertMcCache(node, LineClass::TreeNode, now);
-                break;
-            }
-            dram_.functionalTouch(node, now);
-            ffwdInsertMcCache(node, LineClass::TreeNode, now);
-            if (cfg_.countersInLlc())
-                ffwdInsertLlc(node, LineClass::TreeNode, false, now);
-        }
-        if (cfg_.countersInLlc())
-            ffwdInsertLlc(ctr, LineClass::Counter, false, now);
-    }
-    ffwdInsertMcCache(ctr, LineClass::Counter, now);
-}
-
-void
-SecureSystem::ffwdMcWriteback(Addr pa, Tick now)
-{
-    dram_.functionalTouch(pa, now);
-    if (cfg_.scheme == Scheme::NonSecure)
-        return;
-
-    // The MC needs the counter block resident (and dirty) to bump it.
-    const Addr ctr = meta_.counterBlockAddr(pa);
-    if (!mc_cache_.access(ctr, LineClass::Counter, true)) {
-        ffwdMcCounterAccess(pa, /*count_buckets=*/false, now);
-        mc_cache_.access(ctr, LineClass::Counter, true);   // mark dirty
-    }
-
-    const auto wr = design_->bumpCounter(pa);
-    if (wr.overflow)
-        ++stats_.overflows;
-
-    // Coherence: the updated counter invalidates stale cached copies.
-    if (cfg_.scheme == Scheme::Emcc) {
-        for (unsigned c = 0; c < cfg_.cores; ++c) {
-            if (l2_[c].invalidate(ctr))
-                noteL2CounterGone(c, ctr, /*invalidated=*/true);
-        }
-    }
-    if (cfg_.countersInLlc())
-        llc_.invalidate(ctr);
-}
-
-void
-SecureSystem::ffwdHandleL2Victim(unsigned core, const Victim &v, Tick now)
-{
-    if (v.cls == LineClass::Counter) {
-        noteL2CounterGone(core, v.addr, /*invalidated=*/false);
-        return;
-    }
-    // Non-inclusive hierarchy: L2 evictions fill the LLC as victims.
-    ffwdInsertLlc(v.addr, v.cls, v.dirty, now);
-}
-
-void
-SecureSystem::ffwdInsertCounterIntoL2(unsigned core, Addr ctr, Tick now)
-{
-    if (l2_ctr_state_[core].emplace(ctr, false))
-        ++stats_.l2_ctr_inserts;
-    auto victim = l2_[core].insert(ctr, LineClass::Counter, false);
-    if (victim)
-        ffwdHandleL2Victim(core, *victim, now);
-}
-
-void
-SecureSystem::ffwdInsertL1(unsigned core, Addr pa, bool dirty, Tick now)
-{
-    auto victim = l1_[core].insert(pa, LineClass::Data, dirty);
-    if (victim && victim->dirty) {
-        auto v2 = l2_[core].insert(victim->addr, LineClass::Data, true);
-        if (v2)
-            ffwdHandleL2Victim(core, *v2, now);
-    }
-}
-
-void
-SecureSystem::ffwdInsertL2Data(unsigned core, Addr pa, Tick now)
-{
-    auto victim = l2_[core].insert(pa, LineClass::Data, false);
-    if (victim)
-        ffwdHandleL2Victim(core, *victim, now);
-}
-
-void
-SecureSystem::ffwdInsertLlc(Addr pa, LineClass cls, bool dirty, Tick now,
-                            bool unverified)
-{
-    auto victim = llc_.insert(pa, cls, dirty);
-    // The unverified flag only exists in the inclusive hierarchy; the
-    // non-inclusive configs never read it, so skip the extra set probe.
-    if (cfg_.inclusive_llc)
-        llc_.setFlag(pa, unverified);
-    if (!victim)
-        return;
-    if (cfg_.inclusive_llc && victim->cls == LineClass::Data) {
-        for (unsigned c = 0; c < cfg_.cores; ++c) {
-            auto was_dirty = l2_[c].invalidate(victim->addr);
-            if (was_dirty) {
-                ++stats_.inclusive_back_invalidations;
-                if (*was_dirty)
-                    ffwdMcWriteback(victim->addr, now);
-            }
-            l1_[c].invalidate(victim->addr);
-        }
-    }
-    if (!victim->dirty)
-        return;
-    if (victim->cls == LineClass::Data)
-        ffwdMcWriteback(victim->addr, now);
-    else
-        dram_.functionalTouch(victim->addr, now);
-}
-
-void
-SecureSystem::ffwdInsertMcCache(Addr addr, LineClass cls, Tick now)
-{
-    auto victim = mc_cache_.insert(addr, cls, false);
-    if (victim && victim->dirty)
-        dram_.functionalTouch(victim->addr, now);
+    insertL2Data(core, pa, false, now);
+    insertL1(core, pa, is_write);
 }
 
 // ---------------------------------------------------- sampled simulation

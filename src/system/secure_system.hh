@@ -16,6 +16,7 @@
 
 #pragma once
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -202,10 +203,12 @@ class SecureSystem : public Component, public MemorySystemPort
      * Functionally fast-forward @p refs_per_core memory references per
      * core, round-robin across cores: the full architectural path
      * (L1/L2/LLC lookups, EMCC counter placement, counter values,
-     * integrity-tree and MC-cache state, DRAM row state) advances by
-     * direct calls with no events, NoC hops or AES timing. Trace
-     * cursors move so a later detailed phase resumes where the
-     * fast-forward left off. Must not race a running detailed phase.
+     * integrity-tree and MC-cache state, DRAM row state) advances
+     * through the detailed mode's own fill, victim and writeback
+     * transitions, applied inline: no events, NoC hops or AES timing.
+     * Trace cursors move so a later detailed phase resumes where the
+     * fast-forward left off. Needs a quiesced system (panics if events
+     * are pending or a detailed phase is running).
      */
     void fastForward(Count refs_per_core);
 
@@ -239,6 +242,12 @@ class SecureSystem : public Component, public MemorySystemPort
 
     /** Restore a saveCheckpoint() image taken at the same topology. */
     void restoreCheckpoint(const Checkpoint &ck);
+
+    /** EMCC's per-core L2 counter used flags (cross-mode tests). */
+    const FlatAddrMap<bool> &l2CounterState(unsigned core) const
+    {
+        return l2_ctr_state_.at(core);
+    }
 
     const RunResults &results() const { return results_; }
     const SystemStats &stats() const { return stats_; }
@@ -322,8 +331,28 @@ class SecureSystem : public Component, public MemorySystemPort
     void mcDataRead(unsigned core, Addr pa, Tick t_mc, const CtrPath &ctr,
                     Tick t_miss, obs::MissRecord *rec,
                     FinishCb fill_at_l2_cb);
+    /** Stamp an AES run from @p start to @p done on @p rec: its last
+     *  AES latency is the MAC verify, the rest the decrypt. */
+    void stampAesMac(obs::MissRecord &rec, Tick start, Tick done) const;
+
+    enum class CtrSource { McCache, Llc, Dram };   ///< counter location
+    /** The MC counter lookup of both modes: the MC counter cache, then
+     *  the LLC; bills the location buckets when @p count_buckets. */
+    CtrSource mcCounterLookup(Addr ctr, bool count_buckets);
+    /** Tree levels 1..levels a counter miss fetches from DRAM, up to the
+     *  first MC-cached ancestor; the topmost from the LLC if top_from_llc. */
+    struct WalkPlan
+    {
+        unsigned levels = 0;
+        bool top_from_llc = false;
+    };
+    WalkPlan planTreeWalk(Addr pa);
     /** Fetch+verify a counter at the MC; cb gets the verified tick. */
     void mcFetchCounter(Addr pa, Tick t, bool count_buckets, FinishCb cb);
+    /** mcFetchCounter for fast-forward: the same lookup, walk plan and
+     *  fills, applied inline, with no MSHR, AES or NoC timing. */
+    void ffwdFetchCounter(Addr pa, bool count_buckets);
+    void returnMcCounter(unsigned core, Addr ctr, Tick verified);
     void mcHandleWriteback(Addr pa, Tick t);
     void scheduleOverflowJob(Addr region_base, Count blocks, Tick t);
     void pumpOverflowJobs(Tick t);
@@ -353,6 +382,20 @@ class SecureSystem : public Component, public MemorySystemPort
                      FinishCb cb);
     /** Drain straggler events and populate results_.leaks. */
     void drainAndCheckLeaks();
+
+    /** Run @p f at tick @p t: as an event in detailed mode (so capture
+     *  by value, as for post()), inline while fast-forwarding. Every
+     *  fill and victim cascade of both modes goes through here. */
+    template <typename F>
+    void
+    runAt(Tick t, F &&f, EventTag tag = EventTag::Cache)
+    {
+        if (ffwd_)
+            f();
+        else
+            sim().post(std::max(t, curTick()), std::forward<F>(f),
+                       /*priority=*/0, tag);
+    }
 
     void insertL1(unsigned core, Addr pa, bool dirty);
     void insertL2Data(unsigned core, Addr pa, bool dirty, Tick t);
@@ -401,19 +444,8 @@ class SecureSystem : public Component, public MemorySystemPort
      *  slot when it was the last. */
     void walkArrive(std::uint32_t slot, Tick when);
 
-    // ---- functional fast-forward (architectural state only; mirrors
-    // the detailed path's cache/counter decisions without timing)
-    void ffwdHandleRef(unsigned core, Addr pa, bool is_write, Tick now);
-    void ffwdMcCounterAccess(Addr pa, bool count_buckets, Tick now,
-                             bool llc_known_miss = false);
-    void ffwdMcWriteback(Addr pa, Tick now);
-    void ffwdHandleL2Victim(unsigned core, const Victim &v, Tick now);
-    void ffwdInsertCounterIntoL2(unsigned core, Addr ctr, Tick now);
-    void ffwdInsertL1(unsigned core, Addr pa, bool dirty, Tick now);
-    void ffwdInsertL2Data(unsigned core, Addr pa, Tick now);
-    void ffwdInsertLlc(Addr pa, LineClass cls, bool dirty, Tick now,
-                       bool unverified = false);
-    void ffwdInsertMcCache(Addr addr, LineClass cls, Tick now);
+    /** One fast-forwarded reference: the read path's decisions. */
+    void ffwdHandleRef(unsigned core, Addr pa, bool is_write);
 
     // ---- sampled-simulation machinery
     /** Start every core for @p budget instructions and step events
@@ -506,9 +538,11 @@ class SecureSystem : public Component, public MemorySystemPort
     SlabPool<JoinState> join_pool_;
     SlabPool<WalkState> walk_pool_;
     SlabPool<OverflowJob> overflow_pool_;
-    /// reused tree-walk node list (mcFetchCounter never re-enters
-    /// synchronously, so one scratch buffer suffices)
-    std::vector<std::pair<Addr, bool>> walk_scratch_;
+
+    /// set only inside fastForward(): fills run inline (runAt), DRAM
+    /// writes only move row state, and MC writebacks fetch their
+    /// counter functionally, with no AES or overflow traffic
+    bool ffwd_ = false;
 
     SystemStats stats_;
     RunResults results_;

@@ -46,9 +46,11 @@ to catch with a tokenizer-level scan:
                   carry allow()/allow-file() escapes.
 
   callback-capture  A lambda passed to schedule / scheduleIn / post /
-                  postIn (the InlineCallable storage path) captures by
-                  reference. The event fires after the enclosing scope
-                  has returned, so `[&]`/`[&x]` captures dangle.
+                  postIn (the InlineCallable storage path), or to
+                  SecureSystem::runAt (posted in detailed mode, inline
+                  only while fast-forwarding), captures by reference.
+                  The event fires after the enclosing scope has
+                  returned, so `[&]`/`[&x]` captures dangle.
                   Capture by value; capturing `this` is fine by repo
                   convention (Components outlive the Simulator that
                   dispatches their events).
@@ -155,8 +157,9 @@ NAKED_U64_RE = re.compile(
 # ---- concurrency rules
 # Deferred-callback sinks: every path that stores a closure past the
 # caller's scope (Simulator/EventQueue schedule + the fire-and-forget
-# post variants; all of them land in an InlineCallable event slot).
-SINK_RE = re.compile(r"\b(?:schedule|scheduleIn|post|postIn)\s*\(")
+# post variants; all of them land in an InlineCallable event slot), and
+# SecureSystem::runAt, which posts its closure in detailed mode.
+SINK_RE = re.compile(r"\b(?:schedule|scheduleIn|post|postIn|runAt)\s*\(")
 # A lambda introducer: capture list followed by params/body/specifier.
 LAMBDA_RE = re.compile(
     r"\[([^\[\]]*)\]\s*(?=\(|\{|mutable\b|noexcept\b|->)")
@@ -606,6 +609,18 @@ SELF_TEST_FILES = {
                        "}\n"),
 }
 
+# The detailed/fast-forward seam defers its closure like post() does,
+# even though fast-forward runs it inline.
+SEAM_CAPTURE_FILE = ("src/bad_seam.cc", """\
+struct Sys {
+    template <class F>
+    void runAt(unsigned long, F &&) {}
+};
+void fill(Sys &sys, unsigned long blk) {
+    sys.runAt(blk, [&blk] { (void)blk; });
+}
+""")
+
 # steady_clock is flagged like any other host clock...
 STEADY_FILE = ("src/bad_steady.cc", """\
 #include <chrono>
@@ -698,7 +713,8 @@ def self_test():
                 f.write(content)
         clean_files = (CLEAN_FILE, TOKENS_FILE, CLEAN_CONC_FILE,
                        ALLOW_FILE_FILE)
-        for rel, content in clean_files + (STEADY_FILE,):
+        for rel, content in clean_files + (STEADY_FILE,
+                                           SEAM_CAPTURE_FILE):
             with open(os.path.join(tmp, rel), "w", encoding="utf-8") as f:
                 f.write(content)
 
@@ -721,11 +737,14 @@ def self_test():
         if "wall-clock" not in by_file.get(STEADY_FILE[0], []):
             failures.append(
                 "steady_clock without allow-file annotation NOT caught")
+        if "callback-capture" not in by_file.get(SEAM_CAPTURE_FILE[0], []):
+            failures.append(
+                "reference capture into runAt() NOT caught")
 
     for f in failures:
         print(f"self-test FAIL: {f}", file=sys.stderr)
     if not failures:
-        print(f"self-test OK: all {len(SELF_TEST_FILES) + 1} planted "
+        print(f"self-test OK: all {len(SELF_TEST_FILES) + 2} planted "
               "violations caught; clean/tokenizer/concurrency/allow-file "
               "files clean")
     return 1 if failures else 0
